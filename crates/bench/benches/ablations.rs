@@ -32,9 +32,7 @@ fn sparse_on_off(c: &mut Criterion) {
                 // path the optimisation exists for.
                 i = (i + 1) % 30;
                 s.notify_active(&mut table, handles[i], 2);
-                let st = s
-                    .next_station(&mut table, 2, |_, _| true)
-                    .expect("active");
+                let st = s.next_station(&mut table, 2, |_, _| true).expect("active");
                 s.charge(&mut table, st, 2, Nanos::from_micros(400));
                 black_box(st);
             });
@@ -61,9 +59,7 @@ fn quantum_sweep(c: &mut Criterion) {
                 s.notify_active(&mut table, h, 2);
             }
             b.iter(|| {
-                let st = s
-                    .next_station(&mut table, 2, |_, _| true)
-                    .expect("active");
+                let st = s.next_station(&mut table, 2, |_, _| true).expect("active");
                 s.charge(&mut table, st, 2, Nanos::from_micros(1_500));
                 black_box(st);
             });

@@ -236,14 +236,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Intra-shard parallel lanes for the contention scan (DESIGN.md §14).
-    ///
-    /// Results are byte-identical at any lane count; `0` is clamped to 1.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.cfg.lanes = lanes.max(1);
-        self
-    }
-
     /// Gives clients the paper's FQ-CoDel uplink structure.
     pub fn station_fq(mut self, on: bool) -> Self {
         self.cfg.station_fq = on;

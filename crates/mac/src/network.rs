@@ -88,19 +88,78 @@ pub struct RoamHandoff<M> {
     pub deferred: bool,
 }
 
-/// An exclusive, disjoint slice of station uplinks handed to one
-/// contention lane (phase A of [`WifiNetwork::try_contend`]).
-struct LaneChunk<'a, M>(&'a mut [StationUplink<M>]);
+/// What a contending station draws its backoff from: the access category
+/// it contends with (its highest-priority ready AC) and that AC's
+/// current contention window.
+#[derive(Clone, Copy)]
+struct ContendKey {
+    ac: AccessCategory,
+    /// A copy of `StationUplink::cw[ac]`. Only the station's own attempt
+    /// changes a window, and that attempt's end re-evaluates the station,
+    /// so the copy never goes stale (phase B `debug_assert`s it).
+    cw: u32,
+}
 
-// SAFETY: `StationUplink` is `!Send` only because its telemetry handles
-// wrap `Rc` slots shared with the registry hub. Lanes are spawned solely
-// from `scan_ready`, which collapses to the sequential path whenever
-// telemetry is enabled; a disabled hub hands out the empty handle
-// variant, so no `Rc` is ever live inside an uplink that crosses here.
-// Everything else the uplink owns (queues, arena, private RNG fork) is
-// exclusively held via this chunk's `&mut` slice, and chunks are
-// disjoint by construction (`split_at_mut`).
-unsafe impl<M: Send> Send for LaneChunk<'_, M> {}
+/// The stations contending for the medium, maintained incrementally.
+///
+/// A station's best ready access category can change only when an uplink
+/// packet is enqueued at it or when its own attempt ends; both mark the
+/// slot dirty, and the next idle-medium round re-evaluates exactly the
+/// dirty slots. Departure and slot reuse drop the slot from the set
+/// directly. Everyone else keeps the key computed at their last
+/// evaluation, so a round costs one backoff draw per contender instead
+/// of a probe of every backlogged station.
+#[derive(Default)]
+struct ContenderSet {
+    /// One bit per station slot, set while the slot contends.
+    words: Vec<u64>,
+    /// One bit per entry of `words`, set while that word is non-zero, so
+    /// a round over a mostly idle 100k-slot roster skips empty words 64
+    /// at a time.
+    summary: Vec<u64>,
+    /// Per-slot key, meaningful while the slot's bit is set.
+    keys: Vec<ContendKey>,
+    /// Slots to re-evaluate at the next idle-medium round (may repeat).
+    dirty: Vec<StationIdx>,
+}
+
+impl ContenderSet {
+    fn new(slots: usize) -> ContenderSet {
+        let mut set = ContenderSet::default();
+        set.ensure_slots(slots);
+        set
+    }
+
+    fn ensure_slots(&mut self, slots: usize) {
+        let idle = ContendKey {
+            ac: AccessCategory::Be,
+            cw: 0,
+        };
+        if self.keys.len() < slots {
+            self.keys.resize(slots, idle);
+        }
+        let words = slots.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+            self.summary.resize(words.div_ceil(64), 0);
+        }
+    }
+
+    fn insert(&mut self, slot: StationIdx, key: ContendKey) {
+        let w = slot / 64;
+        self.words[w] |= 1u64 << (slot % 64);
+        self.summary[w / 64] |= 1u64 << (w % 64);
+        self.keys[slot] = key;
+    }
+
+    fn remove(&mut self, slot: StationIdx) {
+        let w = slot / 64;
+        self.words[w] &= !(1u64 << (slot % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1u64 << (w % 64));
+        }
+    }
+}
 
 /// The simulated WiFi network under one queue-management scheme.
 ///
@@ -132,15 +191,8 @@ pub struct WifiNetwork<M> {
     /// [`detach_station`](Self::detach_station) frees the table slot, so
     /// a deferred slot can never be reused before its teardown runs.
     pending_detach: Vec<StaId>,
-    /// One bit per station slot, set whenever an uplink enqueue may have
-    /// made the slot ready to contend and cleared lazily when a
-    /// contention scan finds the station completely idle. The scan only
-    /// visits set bits, so a mostly-downlink 100k-station roster costs a
-    /// few word tests per round instead of a full sweep.
-    uplink_ready: Vec<u64>,
-    /// Scratch for phase A of the contention round (reused every round):
-    /// the stations that want the medium, in ascending slot order.
-    ready_scratch: Vec<(StationIdx, AccessCategory)>,
+    /// The stations that want the medium, with their contention keys.
+    contenders: ContenderSet,
     /// Monotonic join counter — gives every join (including slot reuse) a
     /// fresh RNG fork salt, so a rejoining station never replays its
     /// predecessor's stream.
@@ -154,11 +206,10 @@ pub struct WifiNetwork<M> {
     /// Packets discarded on arrival because they addressed a slot with no
     /// associated station.
     absent_drops: u64,
-    /// Participants of the exchange currently on the air; empty when the
-    /// medium is idle. The buffer is reused across exchanges.
+    /// Participants of the exchange currently on the air, AP first, then
+    /// stations in ascending slot order; empty when the medium is idle.
+    /// The buffer is reused across exchanges.
     in_flight: Vec<Participant>,
-    /// Scratch buffer for contention rounds (reused every round).
-    contenders: Vec<(Participant, Nanos)>,
     meter: AirtimeMeter,
     /// Optional monitor-mode sink receiving every transmission record.
     monitor: Option<Box<dyn TxMonitor>>,
@@ -171,7 +222,7 @@ pub struct WifiNetwork<M> {
     pub events_processed: u64,
 }
 
-impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
+impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// Builds the network from a configuration.
     pub fn new(cfg: NetworkConfig) -> WifiNetwork<M> {
         let mut rng = SimRng::new(cfg.seed);
@@ -230,15 +281,13 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             ap_cw: AccessCategory::ALL.map(|ac| ac.edca().cw_min),
             active: vec![true; stations.len()],
             pending_detach: Vec::new(),
-            uplink_ready: vec![0; stations.len().div_ceil(64)],
-            ready_scratch: Vec::new(),
+            contenders: ContenderSet::new(stations.len()),
             join_seq: stations.len() as u64,
             churn_drops: 0,
             roam_drops: 0,
             absent_drops: 0,
             stations,
             in_flight: Vec::new(),
-            contenders: Vec::new(),
             meter: AirtimeMeter::new(cfg.num_stations()),
             monitor: None,
             tele: Telemetry::disabled(),
@@ -452,16 +501,14 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ratectrl.push(rc);
             self.cfg.stations.push(station);
             self.active.push(true);
-            if self.stations.len() > self.uplink_ready.len() * 64 {
-                self.uplink_ready.push(0);
-            }
+            self.contenders.ensure_slots(self.stations.len());
         } else {
+            // The reused slot hosts a fresh, empty uplink; its
+            // predecessor left the contender set when it departed.
             self.stations[sta] = up;
             self.ratectrl[sta] = rc;
             self.cfg.stations[sta] = station;
             self.active[sta] = true;
-            // The reused slot hosts a fresh, empty uplink.
-            self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
         }
         self.meter.ensure_station(sta);
         self.meter.reset_station(sta);
@@ -488,13 +535,20 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
             "removing unknown or already-removed station {id:?}"
         );
-        self.active[sta] = false;
-        self.tele.count("mac", "station_leaves", Label::Global, 1);
+        self.deactivate(sta);
         if self.station_in_flight(sta) {
             self.pending_detach.push(id);
         } else {
             self.detach_station(id);
         }
+    }
+
+    /// Marks slot `sta` departed: it stops contending at once, even when
+    /// its teardown waits for an on-air exchange.
+    fn deactivate(&mut self, sta: StationIdx) {
+        self.active[sta] = false;
+        self.contenders.remove(sta);
+        self.tele.count("mac", "station_leaves", Label::Global, 1);
     }
 
     /// Whether the current in-flight exchange involves `sta`, either as
@@ -540,7 +594,6 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.cfg.station_fifo_limit,
         );
         self.ratectrl[sta] = None;
-        self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
     }
 
     /// Whether slot `sta` currently hosts an associated station.
@@ -607,8 +660,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
             "roaming out unknown or already-removed station {id:?}"
         );
-        self.active[sta] = false;
-        self.tele.count("mac", "station_leaves", Label::Global, 1);
+        self.deactivate(sta);
         if self.station_in_flight(sta) {
             self.pending_detach.push(id);
             return RoamHandoff {
@@ -639,7 +691,6 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.cfg.station_fifo_limit,
         );
         self.ratectrl[sta] = None;
-        self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
         self.roam_drops += dropped;
         RoamHandoff {
             packets,
@@ -749,7 +800,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
                     }
                     pkt.enqueued = now;
                     self.stations[i].enqueue(pkt);
-                    self.uplink_ready[i / 64] |= 1u64 << (i % 64);
+                    self.contenders.dirty.push(i);
                 }
             }
         }
@@ -829,58 +880,55 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
     /// Runs one contention round if the medium is idle and anyone has a
     /// frame ready.
     ///
-    /// The round is split into two phases so the station sweep can run on
-    /// parallel lanes ([`NetworkConfig::lanes`]) without perturbing the
-    /// simulation (DESIGN.md §14):
-    ///
-    /// - **Phase A** asks every ready-flagged station for its best ready
-    ///   access category. That call touches only the station's private
-    ///   state and its private RNG fork, so lanes may sweep disjoint slot
-    ///   ranges concurrently; candidates are folded back in slot order.
-    /// - **Phase B** draws every backoff from the network's main RNG,
-    ///   sequentially: the AP first, then the phase-A candidates in
-    ///   ascending slot order — the exact draw order of a single-lane
-    ///   sweep, so results are byte-identical at any lane count.
+    /// The round first re-evaluates the dirty stations, in ascending slot
+    /// order, and updates the contender set (see [`ContenderSet`]). It
+    /// then makes one pass that draws every backoff from the network's
+    /// main RNG: the AP first, then each contender in ascending slot
+    /// order. It keeps the running minimum and the participants tied at
+    /// it, which go on the air in draw order.
     fn try_contend(&mut self, now: Nanos) {
         if !self.in_flight.is_empty() {
             return;
         }
+        self.refresh_contenders(now);
 
-        // Phase A: collect the stations that want the medium.
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        self.scan_ready(now, &mut ready);
-
-        let mut best = std::mem::take(&mut self.contenders);
-        best.clear();
-        // Phase B. The AP contends with its highest-priority non-empty hw
-        // queue and draws first.
+        let mut t_min = Nanos::MAX;
+        // The AP contends with its highest-priority non-empty hw queue
+        // and draws first.
         if let Some(ac) = AccessCategory::ALL
             .into_iter()
             .find(|ac| !self.hw[ac.index()].is_empty())
         {
             let e = ac.edca();
-            let t = e.aifs() + SLOT_TIME * self.rng.backoff_slots(self.ap_cw[ac.index()]) as u64;
-            best.push((Participant::Ap { ac }, t));
+            t_min = e.aifs() + SLOT_TIME * self.rng.backoff_slots(self.ap_cw[ac.index()]) as u64;
+            self.in_flight.push(Participant::Ap { ac });
         }
-        // Each ready station contends with its highest-priority ready AC.
-        for &(i, ac) in &ready {
-            let e = ac.edca();
-            let cw = self.stations[i].cw[ac.index()];
-            let t = e.aifs() + SLOT_TIME * self.rng.backoff_slots(cw) as u64;
-            best.push((Participant::Station { idx: i, ac }, t));
-        }
-        self.ready_scratch = ready;
-        let Some(&(_, t_min)) = best.iter().min_by_key(|(_, t)| *t) else {
-            self.contenders = best;
-            return;
-        };
-        for &(p, t) in &best {
-            if t == t_min {
-                self.in_flight.push(p);
+        let set = &self.contenders;
+        for (sw, &summary) in set.summary.iter().enumerate() {
+            let mut words = summary;
+            while words != 0 {
+                let w = sw * 64 + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let mut bits = set.words[w];
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let ContendKey { ac, cw } = set.keys[i];
+                    debug_assert_eq!(cw, self.stations[i].cw[ac.index()], "stale key at {i}");
+                    let t = ac.edca().aifs() + SLOT_TIME * self.rng.backoff_slots(cw) as u64;
+                    if t < t_min {
+                        t_min = t;
+                        self.in_flight.clear();
+                    }
+                    if t == t_min {
+                        self.in_flight.push(Participant::Station { idx: i, ac });
+                    }
+                }
             }
         }
-        self.contenders = best;
+        if self.in_flight.is_empty() {
+            return;
+        }
 
         // The exchange occupies the medium until the slowest tied
         // transmission (plus its ack slot) completes.
@@ -893,96 +941,31 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
         self.queue.push(now + t_min + dur, Event::TxEnd);
     }
 
-    /// Phase A of a contention round: visits every slot whose
-    /// `uplink_ready` bit is set, asks the station for its best ready
-    /// access category, and clears the bit for stations found completely
-    /// idle (only an uplink enqueue can make them ready again).
-    ///
-    /// With `cfg.lanes > 1` the sweep is split into word-aligned chunks
-    /// scanned by scoped worker threads. Each visit mutates only the
-    /// station's own state and private RNG fork, and lane outputs are
-    /// concatenated in chunk order, so the resulting candidate list — and
-    /// every per-station RNG stream — is identical at any lane count.
-    ///
-    /// Lanes engage only while telemetry is disabled: enabled telemetry
-    /// threads `Rc`-based counter handles through every uplink, which
-    /// must not cross threads. A disabled hub hands out empty handles, so
-    /// the uplinks then hold no shared state at all (the basis of the
-    /// `Send` assertion on [`LaneChunk`]); with telemetry on, the sweep
-    /// silently falls back to one lane — same results, same RNG streams.
-    fn scan_ready(&mut self, now: Nanos, ready: &mut Vec<(StationIdx, AccessCategory)>) {
-        let mut lanes = self.cfg.lanes.max(1).min(self.uplink_ready.len().max(1));
-        if self.tele.is_enabled() {
-            lanes = 1;
-        }
-        if lanes <= 1 {
-            for w in 0..self.uplink_ready.len() {
-                let mut bits = self.uplink_ready[w];
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let i = w * 64 + bit;
-                    if !self.active[i] {
-                        continue;
-                    }
-                    match self.stations[i].best_ready_ac(now) {
-                        Some(ac) => ready.push((i, ac)),
-                        None => self.uplink_ready[w] &= !(1u64 << bit),
-                    }
-                }
-            }
+    /// Re-evaluates every dirty station in ascending slot order: a station
+    /// with a ready aggregate (built now if needed) joins or re-keys in
+    /// the contender set, an idle one leaves it. Evaluation touches only
+    /// the station's own queues and private RNG fork.
+    fn refresh_contenders(&mut self, now: Nanos) {
+        if self.contenders.dirty.is_empty() {
             return;
         }
-        let per = self.uplink_ready.len().div_ceil(lanes);
-        let active = &self.active;
-        let mut outs: Vec<Vec<(StationIdx, AccessCategory)>> = Vec::with_capacity(lanes);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(lanes);
-            let mut words: &mut [u64] = &mut self.uplink_ready;
-            let mut stas: &mut [StationUplink<M>] = &mut self.stations;
-            let mut base = 0usize;
-            while !words.is_empty() {
-                let take = per.min(words.len());
-                let (w_chunk, w_rest) = words.split_at_mut(take);
-                let split = (take * 64).min(stas.len());
-                let (s_chunk, s_rest) = stas.split_at_mut(split);
-                words = w_rest;
-                stas = s_rest;
-                let chunk = LaneChunk(s_chunk);
-                let b = base;
-                base += take * 64;
-                handles.push(s.spawn(move || {
-                    // Bind the whole wrapper so edition-2021 closure
-                    // capture moves `LaneChunk` (the `Send` carrier), not
-                    // the bare `chunk.0` slice path.
-                    let chunk = chunk;
-                    let s_chunk = chunk.0;
-                    let mut out = Vec::new();
-                    for (wi, word) in w_chunk.iter_mut().enumerate() {
-                        let mut bits = *word;
-                        while bits != 0 {
-                            let bit = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let li = wi * 64 + bit;
-                            if li >= s_chunk.len() || !active[b + li] {
-                                continue;
-                            }
-                            match s_chunk[li].best_ready_ac(now) {
-                                Some(ac) => out.push((b + li, ac)),
-                                None => *word &= !(1u64 << bit),
-                            }
-                        }
-                    }
-                    out
-                }));
+        let mut dirty = std::mem::take(&mut self.contenders.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &i in &dirty {
+            if !self.active[i] {
+                continue;
             }
-            for h in handles {
-                outs.push(h.join().expect("contention lane panicked"));
+            match self.stations[i].best_ready_ac(now) {
+                Some(ac) => {
+                    let cw = self.stations[i].cw[ac.index()];
+                    self.contenders.insert(i, ContendKey { ac, cw });
+                }
+                None => self.contenders.remove(i),
             }
-        });
-        for out in outs {
-            ready.extend(out);
         }
+        dirty.clear();
+        self.contenders.dirty = dirty;
     }
 
     fn participant_airtime(&self, p: Participant) -> Nanos {
@@ -1218,6 +1201,9 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             || self.chaos.exchange_lost(idx, now);
 
         self.meter.station_mut(idx).rx_airtime += airtime;
+        // Success, failure and retry-drop all change the station's pending
+        // aggregate or window: re-evaluate it at the next round.
+        self.contenders.dirty.push(idx);
         if self.tele.is_enabled() {
             let agg = self.stations[idx]
                 .pending(ac)
@@ -1633,63 +1619,191 @@ mod tests {
         assert_eq!(a.meter().airtime_shares(), b.meter().airtime_shares());
     }
 
-    #[test]
-    fn lane_count_does_not_change_results() {
-        // Phase A of the contention scan may run on parallel lanes; every
-        // main-RNG draw stays sequential in phase B, so any lane count
-        // must produce byte-identical results (DESIGN.md §14). 130
-        // stations span three bitmap words, so lanes=4 really splits the
-        // sweep.
-        const N: usize = 130;
-        struct ManyUp {
-            received: u64,
+    /// FNV-1a fold of every transmission record, in medium order.
+    struct TxDigest {
+        hash: u64,
+        records: u64,
+    }
+
+    fn fnv(hash: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *hash ^= b as u64;
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        impl App<()> for ManyUp {
-            fn on_packet(&mut self, at: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {
-                if at == Delivery::AtServer {
-                    self.received += 1;
-                }
+    }
+
+    impl TxMonitor for TxDigest {
+        fn on_tx(&mut self, r: &TxRecord) {
+            self.records += 1;
+            for v in [
+                r.at.as_nanos(),
+                r.station as u64,
+                (r.direction == TxDirection::Uplink) as u64,
+                r.ac.index() as u64,
+                r.rate.bits_per_second(),
+                r.frames as u64,
+                r.payload_bytes,
+                r.airtime.as_nanos(),
+                r.success as u64,
+                r.retry as u64,
+            ] {
+                fnv(&mut self.hash, v);
             }
+        }
+    }
+
+    #[test]
+    fn contention_is_pinned_byte_for_byte() {
+        // Pins the contention round's outcome: the TxRecord stream and the
+        // airtime meter of a 200-station BSS must hash to the constant
+        // captured at commit a82b237, before the contender set replaced
+        // the per-round sweep. The flood mixes VO into saturated BE
+        // uplinks (AC pre-emption re-keys stations already contending),
+        // runs the FQ uplink and rate control on lossy and cliff
+        // stations (retries, CW doubling, retry drops), and churns the
+        // roster: a deferred detach of a station on the air, slot reuse
+        // through `add_station`, and a roam-out / roam-in.
+        const N: usize = 200;
+        struct Mixed {
+            lcg: u64,
+            next_id: u64,
+        }
+        impl Mixed {
+            fn draw(&mut self) -> u64 {
+                self.lcg = self
+                    .lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                self.lcg >> 33
+            }
+        }
+        impl App<()> for Mixed {
+            fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
             fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-                for i in 0..N {
+                for k in 0..24 {
+                    let r = self.draw();
+                    let sta = (r % N as u64) as usize;
+                    let vo = (r >> 8).is_multiple_of(7);
+                    let down = k % 6 == 0;
+                    self.next_id += 1;
+                    let (src, dst) = if down {
+                        (NodeAddr::Server, NodeAddr::Station(sta))
+                    } else {
+                        (NodeAddr::Station(sta), NodeAddr::Server)
+                    };
                     cmds.send(Packet {
-                        id: i as u64,
-                        src: NodeAddr::Station(i),
-                        dst: NodeAddr::Server,
-                        flow: i as u64,
-                        len: 300,
-                        ac: AccessCategory::Be,
+                        id: self.next_id,
+                        src,
+                        dst,
+                        flow: sta as u64 * 2 + vo as u64,
+                        len: if vo { 200 } else { 1500 },
+                        ac: if vo {
+                            AccessCategory::Vo
+                        } else {
+                            AccessCategory::Be
+                        },
                         created: now,
                         enqueued: now,
                         payload: (),
                     });
                 }
-                if now < Nanos::from_millis(20) {
-                    cmds.set_timer(token, now + Nanos::from_millis(5));
-                }
+                cmds.set_timer(token, now + Nanos::from_micros(500));
             }
         }
-        let run = |lanes: usize| {
-            let mut b = NetworkConfig::builder()
-                .scheme(SchemeKind::AirtimeFair)
-                .lanes(lanes);
-            for _ in 0..N {
-                b = b.station(wifiq_phy::PhyRate::fast_station());
+        let mut b = NetworkConfig::builder()
+            .scheme(SchemeKind::AirtimeFair)
+            .station_fq(true)
+            .rate_control(true)
+            .seed(7);
+        for i in 0..N {
+            let fast = wifiq_phy::PhyRate::fast_station();
+            b = match i % 10 {
+                3 => b.lossy_station(fast, 0.3),
+                7 => b.cliff_station(fast, 4),
+                9 => b.station(wifiq_phy::PhyRate::slow_station()),
+                _ => b.station(fast),
+            };
+        }
+        let mut cfg = b.build();
+        cfg.max_retries = 3;
+        let mut net = WifiNetwork::new(cfg);
+        let digest = std::rc::Rc::new(std::cell::RefCell::new(TxDigest {
+            hash: 0xcbf2_9ce4_8422_2325,
+            records: 0,
+        }));
+        net.attach_monitor(Box::new(digest.clone()));
+        let mut app = Mixed { lcg: 1, next_id: 0 };
+        net.seed_timer(0, Nanos::ZERO);
+        let mut t = Nanos::from_millis(100);
+        net.run(t, &mut app);
+
+        // Deferred detach: remove a station while its own uplink exchange
+        // is on the air, then step until the teardown has run.
+        let on_air = loop {
+            let up = net.in_flight.iter().find_map(|p| match *p {
+                Participant::Station { idx, .. } => Some(idx),
+                Participant::Ap { .. } => None,
+            });
+            if let Some(idx) = up {
+                break idx;
             }
-            let mut net = WifiNetwork::new(b.build());
-            let mut app = ManyUp { received: 0 };
-            net.seed_timer(0, Nanos::ZERO);
-            net.run(Nanos::from_millis(100), &mut app);
-            (
-                app.received,
-                net.events_processed,
-                net.meter().airtime_shares(),
-            )
+            t += Nanos::from_micros(50);
+            net.run(t, &mut app);
         };
-        let one = run(1);
-        let four = run(4);
-        assert!(one.0 > 0, "no uplink traffic flowed");
-        assert_eq!(one, four, "lane count changed the simulation");
+        net.remove_station(net.sta_id(on_air).expect("on-air slot occupied"));
+        assert_eq!(net.pending_detach.len(), 1, "detach was not deferred");
+        t += Nanos::from_millis(20);
+        net.run(t, &mut app);
+        assert!(net.pending_detach.is_empty(), "deferred detach never ran");
+
+        // Slot reuse: the next join lands on the vacated slot.
+        let rejoined = net.add_station(crate::config::StationCfg::clean(
+            wifiq_phy::PhyRate::fast_station(),
+        ));
+        assert_eq!(rejoined.slot(), on_air, "slot not reused");
+        t += Nanos::from_millis(40);
+        net.run(t, &mut app);
+
+        // Roam-out of a station that is not on the air, then roam back in
+        // onto the slot it vacated, carrying its downlink queue.
+        let roamer = (0..N)
+            .find(|&s| s != on_air && !net.station_in_flight(s) && net.station_backlog(s) > 0)
+            .expect("a backlogged station off the air");
+        let handoff = net.roam_out(net.sta_id(roamer).expect("roamer slot occupied"));
+        assert!(!handoff.deferred);
+        t += Nanos::from_millis(20);
+        net.run(t, &mut app);
+        let back = net.roam_in(
+            crate::config::StationCfg::clean(wifiq_phy::PhyRate::fast_station()),
+            handoff.packets,
+        );
+        assert_eq!(back.slot(), roamer, "roamer did not reuse its slot");
+        t += Nanos::from_millis(60);
+        net.run(t, &mut app);
+
+        let mut d = digest.borrow_mut();
+        assert!(d.records > 2_000, "only {} transmissions", d.records);
+        for i in 0..net.station_slots() {
+            let m = net.station_meter(i);
+            for v in [
+                m.tx_airtime.as_nanos(),
+                m.rx_airtime.as_nanos(),
+                m.failures,
+                m.retry_drops,
+            ] {
+                fnv(&mut d.hash, v);
+            }
+        }
+        fnv(&mut d.hash, net.events_processed);
+        fnv(
+            &mut d.hash,
+            net.churn_drops() + net.roam_drops() + net.absent_drops(),
+        );
+        assert_eq!(
+            (d.hash, d.records),
+            (2_192_909_787_566_315_844, 5_303),
+            "contention outcome moved (digest, record count)"
+        );
     }
 
     #[test]
